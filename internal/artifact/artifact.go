@@ -1,13 +1,13 @@
 // Package artifact is the persistent, content-addressed tier beneath the
-// in-memory caches: profile verdicts, memoized feature vectors and lowered
-// VM bytecode, keyed by the structural IR fingerprint plus whatever
-// configuration the artifact depends on. Everything in the store is a pure
-// function of its key, so the store is a cache in the strict sense — any
-// record may be dropped, corrupted or lost at any point and the only
-// observable effect is that the producer runs again. That is the load-
-// bearing design rule: every failure mode (torn write, flipped byte,
-// version skew, short read, missing file) is treated as a miss, never as
-// an error, and the record is simply rewritten.
+// in-memory caches: profile verdicts and memoized feature vectors, keyed by
+// the structural IR fingerprint plus whatever configuration the artifact
+// depends on. Everything in the store is a pure function of its key, so
+// the store is a cache in the strict sense — any record may be dropped,
+// corrupted or lost at any point and the only observable effect is that
+// the producer runs again. That is the load-bearing design rule: every
+// failure mode (torn write, flipped byte, version skew, short read,
+// missing file) is treated as a miss, never as an error, and the record is
+// simply rewritten.
 //
 // On disk the store is a directory of immutable segment files. Records are
 // length-prefixed and individually checksummed; segments are committed by
@@ -50,9 +50,9 @@ const (
 	// KindGraphFeatures is the structural graph feature block (same key
 	// discipline as KindFeatures, separate namespace).
 	KindGraphFeatures Kind = 3
-	// KindBytecode is a serialized vm.Program; Aux binds it to the schedule
-	// config whose block weights were folded into the instruction stream.
-	KindBytecode Kind = 4
+	// Kind 4 is reserved: it held serialized VM bytecode, which never hit.
+	// Stores written before its removal still carry such records; they
+	// load, are never read, and age out with their segments. Never reuse 4.
 )
 
 // Key addresses one record: the structural fingerprint of the IR the

@@ -90,8 +90,49 @@ func TestKindAndAuxSeparateNamespaces(t *testing.T) {
 			t.Fatalf("Get(%+v) = %q, %v; want %q", tc.k, got, ok, tc.want)
 		}
 	}
-	if _, ok := s.Get(Key{FP: fp, Kind: KindBytecode}); ok {
+	if _, ok := s.Get(Key{FP: fp, Kind: KindGraphFeatures}); ok {
 		t.Fatal("unwritten kind resolved to a record")
+	}
+}
+
+// TestReservedBytecodeKindLoads: a store written when kind 4 still held VM
+// bytecode opens cleanly. The old records sit unread beside the live kinds,
+// count as no corruption, and leave with their segment under eviction.
+func TestReservedBytecodeKindLoads(t *testing.T) {
+	dir := t.TempDir()
+	fp := ir.Fingerprint{Hi: 11, Lo: 13}
+	old := Key{FP: fp, Kind: Kind(4), Aux: 5}
+	s := mustOpen(t, dir, 0)
+	s.Put(Key{FP: fp, Kind: KindProfile, Aux: 5}, []byte("profile"))
+	s.Put(old, payload(4, 2048))
+	s.Put(Key{FP: fp, Kind: KindFeatures}, []byte("features"))
+	s.Close()
+
+	s2 := mustOpen(t, dir, 64<<10)
+	defer s2.Close()
+	for k, want := range map[Key]string{
+		{FP: fp, Kind: KindProfile, Aux: 5}: "profile",
+		{FP: fp, Kind: KindFeatures}:        "features",
+	} {
+		if got, ok := s2.Get(k); !ok || string(got) != want {
+			t.Fatalf("Get(%+v) = %q, %v; want %q", k, got, ok, want)
+		}
+	}
+	if st := s2.Stats(); st.Corrupt != 0 || st.Segments != 1 || s2.Len() != 3 {
+		t.Fatalf("after reopening an old store: %d records, stats %+v", s2.Len(), st)
+	}
+	// Newer segments push the old one past the budget.
+	for batch := 0; batch < 4; batch++ {
+		for i := 0; i < 32; i++ {
+			s2.Put(key(batch*32+i), payload(i, 1024))
+		}
+		s2.Flush()
+	}
+	if _, ok := s2.Get(old); ok {
+		t.Fatal("kind-4 record survived eviction of its segment")
+	}
+	if st := s2.Stats(); st.Evictions == 0 || st.Corrupt != 0 {
+		t.Fatalf("stats after eviction: %+v", st)
 	}
 }
 

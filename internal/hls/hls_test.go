@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"autophase/internal/interp"
 	"autophase/internal/ir"
 )
 
@@ -97,7 +96,7 @@ func TestCyclesEqualStatesTimesCounts(t *testing.T) {
 	// overhead for main itself).
 	m := chainBlock(6)
 	// Give the param a value: main(arg) is invoked with 0 by the runtime.
-	rep, err := Profile(m, DefaultConfig, interp.DefaultLimits)
+	rep, err := NewProfiler(ProfileOptions{Engine: EngineInterp}).Profile(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,8 +132,9 @@ func TestProfileMonotoneInTrips(t *testing.T) {
 			b.Ret(iv)
 			return m
 		}
-		a, err1 := Profile(build(trips), DefaultConfig, interp.DefaultLimits)
-		bb, err2 := Profile(build(trips+1), DefaultConfig, interp.DefaultLimits)
+		prof := NewProfiler(ProfileOptions{Engine: EngineInterp})
+		a, err1 := prof.Profile(build(trips))
+		bb, err2 := prof.Profile(build(trips + 1))
 		return err1 == nil && err2 == nil && bb.Cycles > a.Cycles
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {

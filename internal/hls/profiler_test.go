@@ -36,12 +36,18 @@ func TestParseEngine(t *testing.T) {
 	}
 }
 
+// interpRef profiles m on the pinned tree-walking interpreter, the
+// reference every faster engine is held to.
+func interpRef(m *ir.Module, cfg hls.Config, lim interp.Limits) (*hls.Report, error) {
+	return hls.NewProfiler(hls.ProfileOptions{Config: cfg, Limits: lim, Engine: hls.EngineInterp}).Profile(m)
+}
+
 // diffEngines profiles m under the pinned-interpreter reference and the
 // pinned VM, demanding identical cycles/steps/exit/area or identical error
 // classes. It returns the interpreter report for further checks.
 func diffEngines(t *testing.T, label string, m *ir.Module) *hls.Report {
 	t.Helper()
-	iref, ierr := hls.Profile(m, hls.DefaultConfig, interp.DefaultLimits)
+	iref, ierr := interpRef(m, hls.DefaultConfig, interp.DefaultLimits)
 	vprof := hls.NewProfiler(hls.ProfileOptions{Engine: hls.EngineVM})
 	vrep, verr := vprof.Profile(m)
 	if errors.Is(verr, hls.ErrEngineDeclined) {
@@ -186,24 +192,24 @@ entry:
 	}
 }
 
-// TestDeprecatedWrappersAgree: the kept-one-release Profile/ProfileFast/
-// ProfileChecked wrappers answer exactly like the Profiler surface.
-func TestDeprecatedWrappersAgree(t *testing.T) {
+// TestEnginePoliciesAgree: the automatic policy and the cross-checked
+// sanitizer mode answer exactly like the pinned interpreter.
+func TestEnginePoliciesAgree(t *testing.T) {
 	m := mem2reg(progen.Benchmark("qsort"))
-	fast, err := hls.ProfileFast(m, hls.DefaultConfig, interp.DefaultLimits)
+	fast, err := hls.NewProfiler(hls.ProfileOptions{}).Profile(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checked, err := hls.ProfileChecked(m, hls.DefaultConfig, interp.DefaultLimits)
+	checked, err := hls.NewProfiler(hls.ProfileOptions{CrossCheck: true}).Profile(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := hls.Profile(m, hls.DefaultConfig, interp.DefaultLimits)
+	slow, err := interpRef(m, hls.DefaultConfig, interp.DefaultLimits)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fast.Cycles != slow.Cycles || checked.Cycles != slow.Cycles {
-		t.Fatalf("wrapper disagreement: fast=%d checked=%d interp=%d",
+		t.Fatalf("policy disagreement: auto=%d checked=%d interp=%d",
 			fast.Cycles, checked.Cycles, slow.Cycles)
 	}
 }
@@ -238,7 +244,7 @@ func FuzzVMDifferential(f *testing.F) {
 		}
 		passes.Apply(m, seq)
 
-		iref, ierr := hls.Profile(m, hls.DefaultConfig, interp.DefaultLimits)
+		iref, ierr := interpRef(m, hls.DefaultConfig, interp.DefaultLimits)
 		vrep, verr := hls.NewProfiler(hls.ProfileOptions{Engine: hls.EngineVM}).Profile(m)
 		if errors.Is(verr, hls.ErrEngineDeclined) {
 			return

@@ -223,6 +223,9 @@ type StatsReport struct {
 // Stats snapshots the whole service. The aggregate line carries the
 // serve-layer counters through core.EvalStats' usual nonzero-only
 // printing, so a clean single-tenant run reads exactly like the CLI's.
+// Each job's disk write/byte/corrupt counters mirror the whole shared
+// store, so the aggregate takes them from the store once instead of
+// summing them per job.
 func (s *Server) Stats() StatsReport {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -244,6 +247,10 @@ func (s *Server) Stats() StatsReport {
 			Samples:     t.agg.Samples, Successes: t.agg.Successes,
 			Faults: t.agg.Faults, Flagged: t.agg.Flagged,
 		})
+	}
+	if s.store != nil {
+		ds := s.store.Stats()
+		agg.DiskWrites, agg.DiskBytes, agg.DiskCorrupt = ds.Writes, ds.Bytes, ds.Corrupt
 	}
 	agg.Tenants = int64(len(s.tenantIDs))
 	agg.Shed = s.shed429 + s.shed503

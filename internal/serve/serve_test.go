@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -453,6 +454,49 @@ func TestServeEndToEnd(t *testing.T) {
 		t.Fatalf("healthz should be 200 while accepting (err=%v)", err)
 	} else {
 		hr.Body.Close()
+	}
+}
+
+// TestServeAggregateDiskCounters: every job's engine stats mirror the whole
+// shared store, so the aggregate must report the store's own write count
+// once, not that count summed over finished jobs.
+func TestServeAggregateDiskCounters(t *testing.T) {
+	cfg := testConfig()
+	cfg.ArtifactDir = t.TempDir()
+	s := newTestServer(t, cfg)
+	s.Start()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Close()
+	defer s.Shutdown(context.Background())
+
+	const jobs = 4
+	for i := 0; i < jobs; i++ {
+		resp, body := submit(t, ts, SubmitRequest{Tenant: "acme", IR: testIR, Budget: 8, SeqLen: 4})
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %d: status %d body %s", i, resp.StatusCode, body)
+		}
+		var ack SubmitResponse
+		if err := json.Unmarshal(body, &ack); err != nil {
+			t.Fatal(err)
+		}
+		if st := waitTerminal(t, ts, ack.ID); st.State != "done" {
+			t.Fatalf("job %s: state %s (%s), want done", ack.ID, st.State, st.Error)
+		}
+	}
+	want := s.store.Stats().Writes
+	if want == 0 {
+		t.Fatal("jobs wrote nothing to the shared store")
+	}
+	agg := s.Stats().Aggregate
+	var got int64 = -1
+	for _, f := range strings.Fields(agg) {
+		if v, ok := strings.CutPrefix(f, "disk-writes="); ok {
+			got, _ = strconv.ParseInt(v, 10, 64)
+		}
+	}
+	if got != want {
+		t.Fatalf("aggregate disk-writes=%d, store wrote %d: %q", got, want, agg)
 	}
 }
 
